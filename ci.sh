@@ -18,6 +18,11 @@ rm -f /tmp/prcuvet.ci
 echo "== go test (full) =="
 go test -timeout 300s ./...
 
+echo "== go test (perfbench module: workload generators, planted defect, traced wait counts) =="
+# perfbench is a module of its own, so the root go test ./... does not
+# reach it; its TestTracedCountsMatch pins traced waits == ExpansionWaits.
+(cd perfbench && go test -timeout 120s ./...)
+
 echo "== go test -shuffle=on (order-independence pass) =="
 go test -short -shuffle=on -timeout 300s ./...
 

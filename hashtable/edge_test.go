@@ -48,7 +48,8 @@ func TestExpandEmptyTable(t *testing.T) {
 }
 
 // TestAlternatingRunsUnzip builds a chain that strictly alternates
-// destinations — the worst case for unzip (one wait per node).
+// destinations — the worst case for unzip: every node ends a run, so each
+// of the 7 links between the 8 runs is cut after exactly one wait.
 func TestAlternatingRunsUnzip(t *testing.T) {
 	m := NewModulo(prcu.NewEER(prcu.Options{MaxReaders: 2}), 2)
 	h := mustHandle(t, m)
@@ -61,8 +62,8 @@ func TestAlternatingRunsUnzip(t *testing.T) {
 	}
 	waitsBefore := m.ExpansionWaits()
 	m.Expand()
-	if m.ExpansionWaits() == waitsBefore {
-		t.Fatal("alternating chain expansion issued no waits")
+	if got := m.ExpansionWaits() - waitsBefore; got != int64(len(keys)-1) {
+		t.Fatalf("alternating chain of %d nodes issued %d waits, want %d", len(keys), got, len(keys)-1)
 	}
 	for _, k := range keys {
 		if !h.Contains(k) {

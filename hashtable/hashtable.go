@@ -466,13 +466,6 @@ func (m *Map[K, V]) Delete(k K) bool {
 	return true
 }
 
-// splitPredicate covers readers of the two buckets an old bucket splits
-// into: values b and b+oldSize (an iterable predicate with two values, the
-// form D-PRCU drains in O(1)).
-func splitPredicate(b, oldSize uint64) prcu.Predicate {
-	return prcu.Iterable(b, b+oldSize, func(v prcu.Value) prcu.Value { return v + oldSize })
-}
-
 // Expand doubles the bucket array while lookups proceed concurrently.
 // Updates are blocked for its duration. Safe to call from one goroutine at
 // a time per table; concurrent calls serialize.
@@ -494,56 +487,79 @@ func (m *Map[K, V]) Expand() {
 	}
 
 	// Build the new array: each new bucket points at the first node of its
-	// old chain that belongs to it (Figure 3a).
+	// old chain that belongs to it (Figure 3a). Old bucket b splits into
+	// exactly b and b+oldSize, so the walk stops once both have a head.
 	nt := newTable[K, V](int(oldSize * 2))
 	for b := uint64(0); b < oldSize; b++ {
-		for n := old.heads[b].LoadLocked(); n != nil; n = n.next.LoadLocked() {
-			d := m.hash(n.key) & nt.mask
-			if nt.heads[d].LoadLocked() == nil {
-				nt.heads[d].Store(n)
+		var lo, hi *hnode[K, V]
+		for n := old.heads[b].LoadLocked(); n != nil && (lo == nil || hi == nil); n = n.next.LoadLocked() {
+			if m.hash(n.key)&oldSize == 0 {
+				if lo == nil {
+					lo = n
+				}
+			} else if hi == nil {
+				hi = n
 			}
 		}
+		nt.heads[b].Store(lo)
+		nt.heads[b+oldSize].Store(hi)
 	}
 	m.tbl.Publish(nt)
 	m.maskHint.Store(nt.mask)
 
-	// Unzip every old chain (Figure 3b–3d).
+	// Unzip every old chain (Figure 3b–3d). step is the split predicates'
+	// iterator v ↦ v+oldSize, built once and shared by every bucket.
+	step := func(v prcu.Value) prcu.Value { return v + oldSize }
+	var waits int64
 	for b := uint64(0); b < oldSize; b++ {
-		m.unzip(old, nt, b, oldSize)
+		waits += m.unzip(old, nt, b, oldSize, step)
 	}
+	m.waits.Add(waits)
 }
 
 // unzip separates old bucket b's chain into the two new chains, calling
 // WaitForReaders before every pointer change so no traversal that might
-// still rely on the old link can be stranded.
-func (m *Map[K, V]) unzip(old, nt *table[K, V], b, oldSize uint64) {
-	pred := splitPredicate(b, oldSize)
+// still rely on the old link can be stranded. It walks the chain once:
+// each cut resumes from the last node of the run it skipped, and that
+// run's destination is the other bucket of the pair, so no node is hashed
+// twice. It returns the number of waits issued.
+func (m *Map[K, V]) unzip(old, nt *table[K, V], b, oldSize uint64, step func(prcu.Value) prcu.Value) (waits int64) {
+	// The wait covers readers of the two buckets b splits into: values b
+	// and b+oldSize, an iterable predicate with two values (the form
+	// D-PRCU drains in O(1)).
+	pred := prcu.Iterable(b, b+oldSize, step)
 	cur := old.heads[b].LoadLocked()
-	for cur != nil {
-		d := m.hash(cur.key) & nt.mask
-		// Advance to the end of the current run of destination d.
-		next := cur.next.LoadLocked()
-		for next != nil && m.hash(next.key)&nt.mask == d {
-			cur = next
-			next = cur.next.LoadLocked()
-		}
-		if next == nil {
-			return // fully split
-		}
-		// next begins a run of the other destination; find the first
-		// node after it that belongs to d again.
-		q := next
+	if cur == nil {
+		return 0
+	}
+	// Advance to the end of the first run of destination d.
+	d := m.hash(cur.key) & nt.mask
+	next := cur.next.LoadLocked()
+	for next != nil && m.hash(next.key)&nt.mask == d {
+		cur = next
+		next = cur.next.LoadLocked()
+	}
+	for next != nil {
+		// next begins a run of the other destination; find its last node
+		// and the first node after it that belongs to d again.
+		last := next
+		q := last.next.LoadLocked()
 		for q != nil && m.hash(q.key)&nt.mask != d {
+			last = q
 			q = q.next.LoadLocked()
 		}
 		// Pre-existing readers of bucket d may be traversing the foreign
 		// run to reach their nodes beyond it; let them finish before
 		// cutting the link.
-		m.waits.Add(1)
+		waits++
 		m.waitForReaders(pred)
 		cur.next.Store(q)
-		cur = next
+		// The cut leaves the foreign run intact: last still links to q,
+		// which begins a run of d. Continue from last with the roles of
+		// the two destinations swapped.
+		cur, next, d = last, q, d^oldSize
 	}
+	return waits
 }
 
 // Compile-time check of the live-migration front contract.

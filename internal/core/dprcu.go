@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -346,13 +347,57 @@ func (a *drainAgg) add(i drainInfo) {
 	}
 }
 
-// drainCovered drains the nodes of t that p's values hash to, each once,
-// stopping early on cancellation.
+// probeMax bounds the predicates probeClean handles: a bucket pair or a
+// short key interval, the waits the paper's structures issue by the
+// thousand. Wider predicates go straight to the per-node drain.
+const probeMax = 4
+
+// probeClean takes optimistic waiting's first look (§4.2) at every
+// distinct node an enumerable predicate of at most probeMax values
+// covers, before any node is drained. If all their counters read zero,
+// the wait is done with t (Lemma 1: a reader already in its section when
+// the wait began keeps its counter non-zero until it exits); the nodes
+// are counted as clean optimistic drains, as drainNode's own first look
+// would count them, and probeClean reports true. Otherwise it records
+// nothing and the caller drains as usual. With optimistic waiting off
+// there is no first look to take, so the probe is skipped as well.
+func (d *D) probeClean(t *dTable, p Predicate, agg *drainAgg) bool {
+	if d.optBudget <= 0 || !p.Enumerable() {
+		return false
+	}
+	var nodes [probeMax]*dNode
+	n := 0
+	for v, k := p.first, 0; ; k++ {
+		if k == probeMax {
+			return false
+		}
+		if c := &t.nodes[t.index(v)]; !slices.Contains(nodes[:n], c) {
+			nodes[n] = c
+			n++
+		}
+		if v == p.last {
+			break
+		}
+		v = p.next(v)
+	}
+	for _, c := range nodes[:n] {
+		if c.readers[0].Load() != 0 || c.readers[1].Load() != 0 {
+			return false
+		}
+	}
+	agg.scanned += uint64(n)
+	agg.opt += uint64(n)
+	return true
+}
+
 // drainCoveredFast is the uncontrolled twin of drainCovered, used by the
 // unarmed WaitForReaders fast path (a nil wait control never errors, so
 // the error plumbing and its closure are dropped entirely). Keep the
 // dedup logic in sync with drainCovered.
 func (d *D) drainCoveredFast(t *dTable, p Predicate, agg *drainAgg, sp *obs.WaitSpan) {
+	if d.probeClean(t, p, agg) {
+		return
+	}
 	var small [16]uint64
 	seen := small[:0]
 	var bitmap []uint64
@@ -386,7 +431,12 @@ func (d *D) drainCoveredFast(t *dTable, p Predicate, agg *drainAgg, sp *obs.Wait
 	})
 }
 
+// drainCovered drains the nodes of t that p's values hash to, each once,
+// stopping early on cancellation.
 func (d *D) drainCovered(t *dTable, p Predicate, agg *drainAgg, sp *obs.WaitSpan, wc *waitControl) error {
+	if d.probeClean(t, p, agg) {
+		return nil
+	}
 	// Dedup covered indices. Predicates in practice cover very few values
 	// (a bucket pair, a small key interval), so a small linear buffer
 	// avoids allocation; large predicates spill into a bitmap.
